@@ -1,7 +1,7 @@
 package distbasics_test
 
-// One benchmark per experiment of DESIGN.md's per-experiment index
-// (E1–E16). The paper's "evaluation" is its set of quantitative claims;
+// One benchmark per experiment of cmd/basicsbench's experiment index
+// (E1–E16; `go run ./cmd/basicsbench -list` prints it). The paper's "evaluation" is its set of quantitative claims;
 // each bench regenerates the corresponding number and reports it as a
 // benchmark metric (rounds, Δ-latency, configurations, executions) next
 // to the usual ns/op.
@@ -683,7 +683,7 @@ func BenchmarkE16FLPBivalenceLarge(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Ablations: quantify the design choices DESIGN.md calls out.
+// Ablations: quantify the design choices the engines rest on.
 // ---------------------------------------------------------------------------
 
 // BenchmarkAblationBroadcastCost compares the message complexity of the

@@ -43,7 +43,8 @@ type Config struct {
 	// Queue policy, in clock ticks (zero values take the daemon
 	// defaults in node.go, not the jobq simulation-scale defaults).
 	// GraceTicks is the continuous-suspicion age that lapses a worker's
-	// lease; StepTicks the scheduler pulse period; ReproposeTicks how
+	// lease; StepTicks the scheduler's backstop pulse period (queue
+	// events wake the scheduler directly); ReproposeTicks how
 	// long the scheduler waits before re-proposing an assign/expire
 	// whose decision has not landed; RetryBase/RetryCap the
 	// reassignment backoff curve; RetryBudget the default per-job

@@ -31,7 +31,7 @@ const hbPeriod = 40
 // worst-case consensus round-trip on the real transport (hundreds of
 // milliseconds under chaos), unlike the jobq library default of
 // 8*StepEvery, which is tuned to simulation-scale decide latency. Too
-// low and every scheduler pulse re-broadcasts the same still-undecided
+// low and every scheduler pass re-broadcasts the same still-undecided
 // assignment as a fresh TO payload; the duplicates swell every
 // subsequent proposal batch, bigger batches slow the rounds down
 // further, and the feedback loop congestion-collapses consensus (the
@@ -39,7 +39,7 @@ const hbPeriod = 40
 // ballots in the hundreds, no decision for minutes).
 const (
 	defaultGraceTicks     = 10 * hbPeriod
-	defaultStepTicks      = 25   // 50ms pulse: responsive, cheap when idle
+	defaultStepTicks      = 25   // 50ms backstop pulse; queue events wake the scheduler at once
 	defaultReproposeTicks = 1500 // 3s: >> a chaos-degraded consensus round
 )
 
@@ -79,6 +79,10 @@ type server struct {
 	// Both are touched only inside the runtime's event loop.
 	waiters    map[rbcast.MsgID]chan jobq.Event
 	jobWaiters map[string][]chan jobq.Job
+	// waking is set while a scheduler wake-up is queued on the event
+	// loop, so a burst of applied events costs one extra Step, not one
+	// per event. Touched only inside the event loop.
+	waking bool
 }
 
 // runServe is the `basicsjobd serve` entrypoint. Crash-stop process
@@ -129,7 +133,9 @@ func startServer(cfg *Config, id int) (*server, error) {
 		jobWaiters: make(map[string][]chan jobq.Job),
 	}
 
-	opts := []rsm.NodeOption{}
+	// Nothing here reads rsm.Node.Applied: keeping every decoded
+	// command would grow memory with the job count.
+	opts := []rsm.NodeOption{rsm.WithoutAppliedLog()}
 	if path := cfg.Journals[id]; path != "" {
 		j, rec, err := rsm.OpenFileJournal(path)
 		if err != nil {
@@ -200,7 +206,9 @@ func startServer(cfg *Config, id int) (*server, error) {
 	s.rt.Start()
 	s.rt.Do(func(amp.Context) { s.runner.Start() })
 
-	// Scheduler pulse: every replica drives Step; only the Ω leader acts.
+	// Scheduler backstop pulse: every replica drives Step; only the Ω
+	// leader acts. Assignment itself is event-driven (onQueueEvent); the
+	// pulse opens backoff gates, lapses leases and re-proposes.
 	var pulse func()
 	pulse = func() {
 		s.rt.Do(func(amp.Context) { s.nd.Step(s.nd.Ctx()) })
@@ -218,9 +226,19 @@ func startServer(cfg *Config, id int) (*server, error) {
 }
 
 // onQueueEvent runs inside the event loop after every applied queue
-// command: it completes proposal waiters and, on terminal transitions,
+// command: it wakes the scheduler when the event can enable an
+// assignment, completes proposal waiters and, on terminal transitions,
 // releases "run" RPCs blocked on the job.
 func (s *server) onQueueEvent(ev jobq.Event, e rsm.Entry, _ amp.Time) {
+	if !s.waking && s.nd.WantsStep(ev) {
+		// Do blocks on the actor mutex this handler holds, so the Step
+		// runs on the loop's next turn, after the current batch applies.
+		s.waking = true
+		go s.rt.Do(func(amp.Context) {
+			s.waking = false
+			s.nd.Step(s.nd.Ctx())
+		})
+	}
 	if ch, ok := s.waiters[e.ID]; ok {
 		delete(s.waiters, e.ID)
 		select {

@@ -4,7 +4,7 @@
 // algorithm it cites is an implementation, and every quantitative claim
 // is an experiment.
 //
-// The library lives under internal/ (see DESIGN.md for the inventory);
+// The library lives under internal/ (one package per model or layer);
 // the public surface is the examples/ programs, the cmd/basicsbench
 // claim-vs-measured harness, and the repository-level benchmarks in
 // bench_test.go, one per experiment E1–E16.

@@ -199,6 +199,20 @@ const (
 	EvDeadLettered
 )
 
+// enablesAssign reports whether an event of kind k can make a Pending
+// job assignable that was not before: new work (a submission), freed
+// worker capacity (a completion, a retry, a dead letter), or a changed
+// worker set (a join, an expiry, a departure). The scheduler wakes on
+// these instead of waiting for its next pulse.
+func (k EvKind) enablesAssign() bool {
+	switch k {
+	case EvSubmitted, EvCompleted, EvRetried, EvDeadLettered,
+		EvWorkerJoined, EvWorkerExpired, EvWorkerLeft:
+		return true
+	}
+	return false
+}
+
 // Event describes the effect of one applied Cmd; hosts (worker
 // runners, RPC waiters, the scheduler's backoff gate) key off it.
 type Event struct {
@@ -215,16 +229,31 @@ type Event struct {
 // State is the deterministic replicated scheduler state. It must only
 // be mutated through Apply, with commands in the agreed total order;
 // everything it computes is a pure function of that sequence.
+//
+// Besides the job records it keeps two indexes that Apply maintains
+// and RestoreState rebuilds, so a scheduler pass costs
+// O(pending + workers) however many jobs have ever been submitted:
+// the Pending jobs in submission order, and each worker's held
+// (Assigned or Running) jobs, whose count is the worker's load.
 type State struct {
-	jobs    map[string]*Job
-	order   []string // job IDs in submission (apply) order
+	jobs    map[string]*jobRec
+	order   []*jobRec         // every job, in submission (apply) order
+	pending []*jobRec         // the Pending jobs, in submission order
+	held    map[int][]*jobRec // worker → its Assigned/Running jobs
 	workers map[int]bool
 	ctr     Counters
 }
 
+// jobRec is a job's record plus its submission index (its position in
+// State.order), which keys the pending index.
+type jobRec struct {
+	Job
+	seq int
+}
+
 // NewState returns an empty queue state.
 func NewState() *State {
-	return &State{jobs: make(map[string]*Job), workers: make(map[int]bool)}
+	return &State{jobs: make(map[string]*jobRec), held: make(map[int][]*jobRec), workers: make(map[int]bool)}
 }
 
 // Apply executes one command, validating it against the current state.
@@ -244,8 +273,10 @@ func (st *State) Apply(c Cmd) Event {
 		if budget < 1 {
 			budget = 1
 		}
-		st.jobs[c.Job] = &Job{ID: c.Job, Payload: c.Payload, Budget: budget, State: Pending, Worker: -1, DoneBy: -1}
-		st.order = append(st.order, c.Job)
+		j := &jobRec{Job: Job{ID: c.Job, Payload: c.Payload, Budget: budget, State: Pending, Worker: -1, DoneBy: -1}, seq: len(st.order)}
+		st.jobs[c.Job] = j
+		st.order = append(st.order, j)
+		st.pending = append(st.pending, j) // the newest submission sorts last
 		st.ctr.Submitted++
 		return Event{Kind: EvSubmitted, Job: c.Job}
 
@@ -266,11 +297,10 @@ func (st *State) Apply(c Cmd) Event {
 		if c.Kind == CmdLeave {
 			ev.Kind = EvWorkerLeft
 		}
-		for _, id := range st.order {
-			j := st.jobs[id]
-			if (j.State != Assigned && j.State != Running) || j.Worker != c.Worker {
-				continue
-			}
+		held := st.held[c.Worker]
+		delete(st.held, c.Worker)
+		sort.Slice(held, func(a, b int) bool { return held[a].seq < held[b].seq })
+		for _, j := range held {
 			st.ctr.Released++
 			j.Worker = -1
 			if j.Attempt >= j.Budget {
@@ -278,10 +308,10 @@ func (st *State) Apply(c Cmd) Event {
 				j.State = Failed
 				j.Err = fmt.Sprintf("worker %d lost during final attempt %d/%d", c.Worker, j.Attempt, j.Budget)
 				st.ctr.DeadLetters++
-				ev.Dead = append(ev.Dead, id)
+				ev.Dead = append(ev.Dead, j.ID)
 			} else {
-				j.State = Pending
-				ev.Released = append(ev.Released, id)
+				st.requeue(j)
+				ev.Released = append(ev.Released, j.ID)
 			}
 		}
 		return ev
@@ -292,9 +322,12 @@ func (st *State) Apply(c Cmd) Event {
 			c.Attempt != j.Attempt+1 || c.Attempt > j.Budget {
 			return Event{Kind: EvNop, Job: c.Job, Worker: c.Worker, Attempt: c.Attempt}
 		}
+		i := st.pendingIndex(j)
+		st.pending = append(st.pending[:i], st.pending[i+1:]...)
 		j.State = Assigned
 		j.Worker = c.Worker
 		j.Attempt = c.Attempt
+		st.held[c.Worker] = append(st.held[c.Worker], j)
 		st.ctr.Assigns++
 		return Event{Kind: EvAssigned, Job: c.Job, Worker: c.Worker, Attempt: c.Attempt}
 
@@ -315,8 +348,8 @@ func (st *State) Apply(c Cmd) Event {
 			// reassigned (different worker or attempt), or never assigned.
 			return st.stale(c)
 		}
+		st.unhold(j)
 		j.State = Completed
-		j.Worker = -1
 		j.Result = c.Result
 		j.DoneBy = c.Worker
 		j.Effects++
@@ -329,14 +362,14 @@ func (st *State) Apply(c Cmd) Event {
 			j.Worker != c.Worker || j.Attempt != c.Attempt {
 			return st.stale(c)
 		}
-		j.Worker = -1
+		st.unhold(j)
 		j.Err = c.Err
 		if j.Attempt >= j.Budget {
 			j.State = Failed
 			st.ctr.DeadLetters++
 			return Event{Kind: EvDeadLettered, Job: c.Job, Worker: c.Worker, Attempt: c.Attempt}
 		}
-		j.State = Pending
+		st.requeue(j)
 		st.ctr.Retries++
 		return Event{Kind: EvRetried, Job: c.Job, Worker: c.Worker, Attempt: c.Attempt}
 	}
@@ -349,20 +382,67 @@ func (st *State) stale(c Cmd) Event {
 	return Event{Kind: EvStale, Job: c.Job, Worker: c.Worker, Attempt: c.Attempt}
 }
 
+// pendingIndex returns where j sits (or belongs) in the pending index.
+func (st *State) pendingIndex(j *jobRec) int {
+	return sort.Search(len(st.pending), func(i int) bool { return st.pending[i].seq >= j.seq })
+}
+
+// requeue returns a job to Pending, at its submission-order place.
+func (st *State) requeue(j *jobRec) {
+	j.State = Pending
+	i := st.pendingIndex(j)
+	st.pending = append(st.pending, nil)
+	copy(st.pending[i+1:], st.pending[i:])
+	st.pending[i] = j
+}
+
+// unhold drops an Assigned/Running job from its worker's held set.
+func (st *State) unhold(j *jobRec) {
+	held := st.held[j.Worker]
+	for i, h := range held {
+		if h == j {
+			held = append(held[:i], held[i+1:]...)
+			break
+		}
+	}
+	if len(held) == 0 {
+		delete(st.held, j.Worker)
+	} else {
+		st.held[j.Worker] = held
+	}
+	j.Worker = -1
+}
+
+// reindex rebuilds the pending and held indexes from the job records
+// (the restore path; Apply maintains them incrementally).
+func (st *State) reindex() {
+	st.pending = st.pending[:0]
+	st.held = make(map[int][]*jobRec)
+	for i, j := range st.order {
+		j.seq = i
+		switch j.State {
+		case Pending:
+			st.pending = append(st.pending, j)
+		case Assigned, Running:
+			st.held[j.Worker] = append(st.held[j.Worker], j)
+		}
+	}
+}
+
 // Job returns a copy of the job's record.
 func (st *State) Job(id string) (Job, bool) {
 	j, ok := st.jobs[id]
 	if !ok {
 		return Job{}, false
 	}
-	return *j, true
+	return j.Job, true
 }
 
 // Jobs returns copies of every job in submission order.
 func (st *State) Jobs() []Job {
 	out := make([]Job, 0, len(st.order))
-	for _, id := range st.order {
-		out = append(out, *st.jobs[id])
+	for _, j := range st.order {
+		out = append(out, j.Job)
 	}
 	return out
 }
@@ -380,19 +460,11 @@ func (st *State) Workers() []int {
 // Alive reports whether worker w is currently joined.
 func (st *State) Alive(w int) bool { return st.workers[w] }
 
+// Load returns how many jobs worker w holds (Assigned or Running).
+func (st *State) Load(w int) int { return len(st.held[w]) }
+
 // Counters returns the aggregate counters.
 func (st *State) Counters() Counters { return st.ctr }
-
-// Terminal returns how many jobs are in an end state.
-func (st *State) Terminal() int {
-	n := 0
-	for _, j := range st.jobs {
-		if j.State.Terminal() {
-			n++
-		}
-	}
-	return n
-}
 
 // RegisterWire registers the queue's wire types with reg — required on
 // every process exchanging jobq traffic (transport.Register) and before

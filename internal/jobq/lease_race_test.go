@@ -165,3 +165,44 @@ func TestCrashRecoveryResumesAssignedWork(t *testing.T) {
 		}
 	}
 }
+
+// TestStartSkippedOnceOutcomeReported covers the timer race real-clock
+// hosts have: the deferred outcome report can reach the event loop
+// before the deferred Start. Here every runner's Defer swaps the two
+// (the outcome of a cost-1 attempt fires first); a Start proposed after
+// its outcome could only apply stale, so none may be proposed.
+func TestStartSkippedOnceOutcomeReported(t *testing.T) {
+	c := newJQCluster(t, 3, Config{StepEvery: 10, Retry: RetryPolicy{Seed: 5}}, 1)
+	sim, nodes := c.sim, c.nodes
+	for j, r := range c.runners {
+		j := j
+		r.Defer = func(d amp.Time, f func()) {
+			if d <= 2 {
+				d = 3 - d // Start (d=1) after the cost-1 outcome (d=2)
+			}
+			sim.Schedule(sim.Now()+d, func() {
+				if !sim.Crashed(j) {
+					f()
+				}
+			})
+		}
+		sim.Schedule(amp.Time(2+j), r.Start)
+	}
+	for i := 0; i < 6; i++ {
+		id := string(rune('a' + i))
+		sim.Schedule(amp.Time(40+20*i), func() {
+			nodes[0].Propose(nodes[0].Ctx(), Cmd{Kind: CmdSubmit, Job: id, Budget: 1})
+		})
+	}
+	sim.Run(5_000)
+
+	st := nodes[0].State()
+	for _, j := range st.Jobs() {
+		if j.State != Completed || j.Effects != 1 {
+			t.Fatalf("job %s: %+v", j.ID, j)
+		}
+	}
+	if ctr := st.Counters(); ctr.Completions != 6 || ctr.Stale != 0 {
+		t.Fatalf("want 6 completions and no stale commands, got %+v", ctr)
+	}
+}

@@ -1,7 +1,7 @@
 package jobq
 
 import (
-	"sort"
+	"container/heap"
 
 	"distbasics/internal/amp"
 	"distbasics/internal/rbcast"
@@ -24,8 +24,11 @@ type Config struct {
 	Grace amp.Time
 	// MaxPerWorker caps concurrent assignments per worker (default 4).
 	MaxPerWorker int
-	// StepEvery is the scheduler tick period hosts should drive Pulse
-	// with (default 50).
+	// StepEvery is the period of the scheduler's backstop pulse (default
+	// 50). Assignment is event-driven — hosts run Step as soon as an
+	// applied event makes WantsStep true — so the pulse only catches
+	// what no event announces: backoff gates opening, worker leases
+	// lapsing, lost proposals due for re-proposal, leadership changes.
 	StepEvery amp.Time
 	// ReproposeEvery is how long the scheduler waits for a proposal
 	// (assign/expire) to take effect before proposing it again —
@@ -153,9 +156,19 @@ func (jn *Node) onApply(e rsm.Entry, at amp.Time) {
 	}
 }
 
-// Step runs one scheduler pass. Call it periodically on every replica
-// (hosts: Sim.Schedule loop or clock.AfterFunc + Runtime.Do); only the
-// current Ω leader acts, and nothing it proposes is trusted — apply-time
+// WantsStep reports whether the replica should run Step on its next
+// event-loop turn after applying ev: it is the current Ω leader and ev
+// can enable an assignment. Hosts call it from a Subscribe observer and
+// coalesce the wake-ups (at most one pending per replica); Step's
+// proposal dedup keeps them from re-proposing in-flight commands.
+func (jn *Node) WantsStep(ev Event) bool {
+	return ev.Kind.enablesAssign() && jn.RSM.Omega.Leader() == jn.Ctx().ID()
+}
+
+// Step runs one scheduler pass. Hosts run it on every replica both on
+// a periodic backstop pulse (Sim.Schedule loop or clock.AfterFunc +
+// Runtime.Do) and on the wake-ups WantsStep asks for; only the current
+// Ω leader acts, and nothing it proposes is trusted — apply-time
 // validation makes stale or duplicate proposals harmless, so leadership
 // flaps and split brains during partitions cost traffic, never safety.
 func (jn *Node) Step(ctx amp.Context) {
@@ -192,13 +205,6 @@ func (jn *Node) expireWorkers(ctx amp.Context, now amp.Time) {
 // unsuspected workers, oldest submission first, respecting the
 // per-worker cap and the backoff gate.
 func (jn *Node) assign(ctx amp.Context, now amp.Time) {
-	// Current load per live worker, from replicated state.
-	load := make(map[int]int)
-	for _, j := range jn.st.Jobs() {
-		if j.State == Assigned || j.State == Running {
-			load[j.Worker]++
-		}
-	}
 	var cands []int
 	for _, w := range jn.st.Workers() {
 		if w != ctx.ID() && jn.RSM.Omega.IsSuspected(w) {
@@ -206,34 +212,63 @@ func (jn *Node) assign(ctx amp.Context, now amp.Time) {
 		}
 		cands = append(cands, w)
 	}
-	if len(cands) == 0 {
-		return
+	for _, c := range jn.planAssign(now, cands) {
+		jn.Propose(ctx, c)
 	}
-	for _, id := range jn.st.order {
-		j := jn.st.jobs[id]
-		if j.State != Pending || jn.eligibleAt[id] > now {
+}
+
+// planAssign walks the pending index and picks each eligible job's
+// worker: the least-loaded candidate below MaxPerWorker, smallest ID on
+// ties (cands is sorted), until every candidate is full. A pass costs
+// O(pending + candidates + picks·log candidates), independent of how
+// many jobs have ever been submitted.
+func (jn *Node) planAssign(now amp.Time, cands []int) []Cmd {
+	if len(cands) == 0 {
+		return nil
+	}
+	free := make(loadHeap, 0, len(cands))
+	for _, w := range cands {
+		if l := jn.st.Load(w); l < jn.cfg.MaxPerWorker {
+			free = append(free, workerLoad{w, l})
+		}
+	}
+	heap.Init(&free)
+	var out []Cmd
+	for _, j := range jn.st.pending {
+		if jn.eligibleAt[j.ID] > now || !jn.shouldPropose("a/"+j.ID, now) {
 			continue
 		}
-		if !jn.shouldPropose("a/"+id, now) {
-			continue
-		}
-		// Least-loaded candidate, smallest ID on ties (cands is sorted).
-		best, bestLoad := -1, 0
-		for _, w := range cands {
-			if load[w] >= jn.cfg.MaxPerWorker {
-				continue
-			}
-			if best < 0 || load[w] < bestLoad {
-				best, bestLoad = w, load[w]
-			}
-		}
-		if best < 0 {
-			delete(jn.proposedAt, "a/"+id) // all workers full; retry next Step
+		if len(free) == 0 {
+			delete(jn.proposedAt, "a/"+j.ID) // all workers full; retry next Step
 			break
 		}
-		jn.Propose(ctx, Cmd{Kind: CmdAssign, Job: id, Worker: best, Attempt: j.Attempt + 1})
-		load[best]++
+		out = append(out, Cmd{Kind: CmdAssign, Job: j.ID, Worker: free[0].w, Attempt: j.Attempt + 1})
+		if free[0].load++; free[0].load >= jn.cfg.MaxPerWorker {
+			heap.Pop(&free)
+		} else {
+			heap.Fix(&free, 0)
+		}
 	}
+	return out
+}
+
+// workerLoad is one assignment candidate with its current load.
+type workerLoad struct{ w, load int }
+
+// loadHeap orders candidates least-loaded first, smallest ID on ties.
+type loadHeap []workerLoad
+
+func (h loadHeap) Len() int { return len(h) }
+func (h loadHeap) Less(a, b int) bool {
+	return h[a].load < h[b].load || (h[a].load == h[b].load && h[a].w < h[b].w)
+}
+func (h loadHeap) Swap(a, b int) { h[a], h[b] = h[b], h[a] }
+func (h *loadHeap) Push(x any)   { *h = append(*h, x.(workerLoad)) }
+func (h *loadHeap) Pop() any {
+	old := *h
+	x := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return x
 }
 
 // shouldPropose gates duplicate scheduler proposals: a key is proposed
@@ -259,25 +294,4 @@ func itoa(n int) string {
 		return string(rune('0' + n))
 	}
 	return itoa(n/10) + string(rune('0'+n%10))
-}
-
-// PendingEligible reports how many Pending jobs are currently past
-// their backoff gate (introspection for hosts deciding whether the
-// queue is drained or merely backing off).
-func (jn *Node) PendingEligible(now amp.Time) int {
-	n := 0
-	for _, id := range jn.st.order {
-		if jn.st.jobs[id].State == Pending && jn.eligibleAt[id] <= now {
-			n++
-		}
-	}
-	return n
-}
-
-// SortedJobIDs returns every job ID, sorted (stable introspection
-// order for dumps).
-func (jn *Node) SortedJobIDs() []string {
-	out := append([]string(nil), jn.st.order...)
-	sort.Strings(out)
-	return out
 }

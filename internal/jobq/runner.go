@@ -123,8 +123,13 @@ func (r *Runner) execute(j Job) {
 			cost = c
 		}
 	}
+	// Real-clock hosts fire the two deferred steps from separate timer
+	// goroutines, so on a starved CPU the outcome can win the race into
+	// the event loop. A Start proposed after its own outcome can only
+	// apply stale; once the outcome is out, the Start is skipped.
+	reported := false
 	r.Defer(1, func() {
-		if r.stopped {
+		if r.stopped || reported {
 			return
 		}
 		if cur, ok := r.nd.State().Job(j.ID); !ok || cur.State != Assigned || cur.Worker != r.self || cur.Attempt != j.Attempt {
@@ -136,6 +141,7 @@ func (r *Runner) execute(j Job) {
 		if r.stopped {
 			return
 		}
+		reported = true
 		var out Cmd
 		if r.Work == nil {
 			out = Cmd{Kind: CmdComplete, Job: j.ID, Worker: r.self, Attempt: j.Attempt}

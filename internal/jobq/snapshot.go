@@ -10,9 +10,11 @@ import (
 // jobs, submission order, live workers, counters — is captured behind
 // the snapshot, and a recovery restores it before the journal-suffix
 // replay re-applies newer commands through the normal apply hook. The
+// State's scheduling indexes (pending set, per-worker holdings) are
+// derived from the job records and rebuilt on restore; the
 // leader-local scheduling caches (backoff gate, proposal dedup) are
-// deliberately absent: they are derived, per-replica state and rebuild
-// as the restarted replica observes the queue.
+// deliberately absent too: they are per-replica state and rebuild as
+// the restarted replica observes the queue.
 
 // stateWire is the exported gob shadow of State.
 type stateWire struct {
@@ -26,12 +28,13 @@ type stateWire struct {
 func (jn *Node) SnapshotState() ([]byte, error) {
 	w := stateWire{
 		Jobs:    make(map[string]Job, len(jn.st.jobs)),
-		Order:   append([]string(nil), jn.st.order...),
+		Order:   make([]string, 0, len(jn.st.order)),
 		Workers: make(map[int]bool, len(jn.st.workers)),
 		Ctr:     jn.st.ctr,
 	}
-	for id, j := range jn.st.jobs {
-		w.Jobs[id] = *j
+	for _, j := range jn.st.order {
+		w.Jobs[j.ID] = j.Job
+		w.Order = append(w.Order, j.ID)
 	}
 	for id, live := range jn.st.workers {
 		w.Workers[id] = live
@@ -51,15 +54,16 @@ func (jn *Node) RestoreState(data []byte) error {
 		return err
 	}
 	st := NewState()
-	for id, j := range w.Jobs {
-		job := j
-		st.jobs[id] = &job
+	for _, id := range w.Order {
+		j := &jobRec{Job: w.Jobs[id]}
+		st.jobs[id] = j
+		st.order = append(st.order, j)
 	}
-	st.order = append(st.order, w.Order...)
 	for id, live := range w.Workers {
 		st.workers[id] = live
 	}
 	st.ctr = w.Ctr
+	st.reindex()
 	jn.st = st
 	return nil
 }

@@ -148,6 +148,32 @@ func (*JobQ) Run(sc *scenario.Scenario) *scenario.Result {
 		amp.WithDelay(ampDelay(cfg)),
 		amp.WithAdversary(ampAdversaries(sc.Faults)...))
 
+	// Scheduler wake-ups, as cmd/basicsjobd runs them: an applied event
+	// that can enable an assignment queues one Step on the replica's
+	// next event-loop turn, coalesced per replica incarnation.
+	waking := make([]bool, jqReplicas)
+	subscribeWake := func(j int) {
+		nd, ep := nodes[j], inc[j]
+		nd.Subscribe(func(ev jobq.Event, _ rsm.Entry, _ amp.Time) {
+			if waking[j] || !nd.WantsStep(ev) {
+				return
+			}
+			waking[j] = true
+			sim.Schedule(sim.Now(), func() {
+				if inc[j] != ep {
+					return
+				}
+				waking[j] = false
+				if !sim.Crashed(j) {
+					nd.Step(nd.Ctx())
+				}
+			})
+		})
+	}
+	for j := 0; j < jqReplicas; j++ {
+		subscribeWake(j)
+	}
+
 	// Workers: one per replica. Work outcomes are a deterministic
 	// function of (payload, attempt) so reassignment cannot change what
 	// an attempt would have done — only which attempt lands.
@@ -224,14 +250,16 @@ func (*JobQ) Run(sc *scenario.Scenario) *scenario.Result {
 			inc[p]++
 			nodes[p] = build(p, rec)
 			sim.Replace(p, nodes[p].RSM.Stack)
+			waking[p] = false
+			subscribeWake(p)
 			runners[p] = mkRunner(p)
 			runners[p].Start()
 			res.Tracef("snaprestart p%d base=%d", p, base)
 		})
 	}
 
-	// Scheduler pulse on every replica; only the Ω leader acts. Crashed
-	// replicas skip their pulse (their timers are down too).
+	// Scheduler backstop pulse on every replica; only the Ω leader acts.
+	// Crashed replicas skip their pulse (their timers are down too).
 	for j := 0; j < jqReplicas; j++ {
 		j := j
 		var pulse func()
